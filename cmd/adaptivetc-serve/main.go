@@ -160,9 +160,9 @@ func main() {
 	}
 
 	svc := serve.New(serve.Config{
-		Journal:      journal,
-		Recovered:    recovered,
-		ProgramCache: progstore.Config{MaxPrograms: *maxPrograms},
+		Journal:           journal,
+		Recovered:         recovered,
+		ProgramCache:      progstore.Config{MaxPrograms: *maxPrograms},
 		Workers:           *workers,
 		QueueCapacity:     *queue,
 		MaxConcurrentJobs: *maxJobs,
@@ -207,7 +207,15 @@ func main() {
 		node.Start()
 	}
 
-	server := &http.Server{Addr: *addr, Handler: mux}
+	// Bound how long a client may take to send its headers and how long an
+	// idle keep-alive connection is held, so slow or abandoned clients
+	// cannot pin connections; handler run time is not capped.
+	server := &http.Server{
+		Addr:              *addr,
+		Handler:           mux,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- server.ListenAndServe() }()
 

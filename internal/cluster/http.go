@@ -38,8 +38,8 @@ func Mount(mux *http.ServeMux, n *Node) {
 
 	mux.HandleFunc("POST /cluster/forward", func(w http.ResponseWriter, r *http.Request) {
 		var fr ForwardRequest
-		if err := json.NewDecoder(r.Body).Decode(&fr); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		if code, err := serve.DecodeBody(w, r, &fr); err != nil {
+			writeJSON(w, code, map[string]string{"error": err.Error()})
 			return
 		}
 		reply, err := n.acceptForward(fr)
@@ -59,8 +59,8 @@ func Mount(mux *http.ServeMux, n *Node) {
 
 	mux.HandleFunc("POST /cluster/steal", func(w http.ResponseWriter, r *http.Request) {
 		var sr StealRequest
-		if err := json.NewDecoder(r.Body).Decode(&sr); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		if code, err := serve.DecodeBody(w, r, &sr); err != nil {
+			writeJSON(w, code, map[string]string{"error": err.Error()})
 			return
 		}
 		if sr.Thief == "" {

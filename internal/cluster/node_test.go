@@ -6,6 +6,7 @@ package cluster
 import (
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -143,5 +144,25 @@ func TestClusterStatsEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("stats returned %d", resp.StatusCode)
+	}
+}
+
+// TestClusterOversizedBody checks that the peer endpoints stop reading at
+// serve.MaxBodyBytes and answer 413.
+func TestClusterOversizedBody(t *testing.T) {
+	svc := serve.New(serve.Config{Workers: 1, QueueCapacity: 4})
+	t.Cleanup(svc.Close)
+	mux := http.NewServeMux()
+	Mount(mux, NewNode(Config{Self: "http://self"}, svc, nil))
+	huge := `{"thief":"` + strings.Repeat("a", serve.MaxBodyBytes) + `"}`
+	for _, path := range []string{"/cluster/forward", "/cluster/steal"} {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(huge)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: status %d, want 413", path, len(huge), rec.Code)
+		}
+	}
+	if m := svc.Snapshot(); m.Submitted != 0 {
+		t.Fatalf("oversized forward acted on: submitted=%d", m.Submitted)
 	}
 }

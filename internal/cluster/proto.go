@@ -35,7 +35,7 @@ type LoadReport struct {
 	Score int `json:"score"`
 	// Busy is the busy-worker count.
 	Busy int64 `json:"busy"`
-	// Queue is the admission backlog depth (queued + staged).
+	// Queue is the admission backlog depth (accepted, not yet running).
 	Queue int `json:"queue"`
 	// ForwardedNow is the node's pending-forward gauge, so peers can tell
 	// a node that already shed its backlog from a genuinely idle one.

@@ -6,10 +6,10 @@
 //
 // The model keeps the real tier's semantics at the protocol level:
 //
-//   - Each node is a FIFO backlog plus one executor (the pool's staging
-//     depth); a job's service time is precomputed by the caller (the
-//     deterministic makespan of a Sim-platform engine run), so "executing"
-//     is occupying the node for ServiceNS and yielding Value.
+//   - Each node is a FIFO backlog plus one executor; a job's service time
+//     is precomputed by the caller (the deterministic makespan of a
+//     Sim-platform engine run), so "executing" is occupying the node for
+//     ServiceNS and yielding Value.
 //   - Load exchange, forwarding and stealing are messages with a virtual
 //     latency: base + seeded per-link jitter + any injected delay spike.
 //     Per-link fault streams (drop/delay/duplicate) and per-node partition
@@ -188,8 +188,8 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(*simEvent)) }
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*simEvent)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)

@@ -128,9 +128,8 @@ func (x *exec) fastLoop(w *wsrt.Worker, f *wsrt.Frame, pc int, sum int64) (int64
 		}
 		sum += v
 	}
-	total, out := f.Sync(sum)
+	total, out := w.Sync(f, sum)
 	if out == wsrt.SyncSuspended {
-		w.Suspend(f)
 		return 0, false
 	}
 	return total, true
@@ -276,9 +275,8 @@ func (x *exec) fast2Loop(w *wsrt.Worker, f *wsrt.Frame, pc int, sum int64) (int6
 		}
 		sum += v
 	}
-	total, out := f.Sync(sum)
+	total, out := w.Sync(f, sum)
 	if out == wsrt.SyncSuspended {
-		w.Suspend(f)
 		return 0, false
 	}
 	return total, true

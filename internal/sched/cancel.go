@@ -91,27 +91,23 @@ func (a Abort) Error() string {
 
 // WatchContext connects ctx to stop: when ctx is cancelled or its deadline
 // expires, stop is signalled with the context's cause. It returns a release
-// function that must be called when the run finishes to reclaim the watcher
-// goroutine. A nil ctx, a ctx that can never be cancelled, or a nil stop
-// costs nothing and returns a no-op release.
-func WatchContext(ctx context.Context, stop *Stop) (release func()) {
+// function that must be called when the run finishes to disarm the watch;
+// like context.AfterFunc's stop, it reports whether it did. The watch is a
+// context.AfterFunc, so it costs no goroutine unless it fires. A nil ctx, a
+// ctx that can never be cancelled, or a nil stop costs nothing and returns
+// a no-op release.
+func WatchContext(ctx context.Context, stop *Stop) (release func() bool) {
 	if ctx == nil || ctx.Done() == nil || stop == nil {
-		return func() {}
+		return noRelease
 	}
 	// A context that is already done is signalled synchronously, so a run
 	// submitted with a dead context aborts at its very first poll point
-	// instead of racing the watcher goroutine against worker start-up.
+	// instead of racing the watch against worker start-up.
 	if ctx.Err() != nil {
 		stop.Signal(context.Cause(ctx))
-		return func() {}
+		return noRelease
 	}
-	quit := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			stop.Signal(context.Cause(ctx))
-		case <-quit:
-		}
-	}()
-	return func() { close(quit) }
+	return context.AfterFunc(ctx, func() { stop.Signal(context.Cause(ctx)) })
 }
+
+func noRelease() bool { return false }

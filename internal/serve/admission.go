@@ -1,22 +1,24 @@
 // The QoS admission plane: tenant identity, priority classes, per-tenant
-// quotas and token-bucket rate limits, and the weighted-fair queue that
-// replaced the single FIFO in front of wsrt.Pool.Submit.
+// quotas and token-bucket rate limits, and the weighted-fair queue the
+// service's pool pulls its jobs from.
 //
 // Admission is two-stage. Submit performs the synchronous, caller-visible
 // checks (rate limit, quota, global capacity — each a 429 with its own
-// Retry-After) and enqueues the job into the weighted-fair queue; the
-// service's pump goroutine then drains that queue in QoS order, staging
-// one job at a time into the pool's own (capacity-1) queue. Keeping the
-// pool-side buffer minimal is what makes the weights matter: every job
-// that is not literally next waits where priority is still mutable, so a
-// late-arriving interactive job overtakes queued batch work instead of
-// sitting behind it in a FIFO.
+// Retry-After) and enqueues the job into the weighted-fair queue. The
+// queue is the pool's wsrt.Source: whenever a shard slot opens, the pool's
+// dispatcher pops the next job in QoS order, so nothing is staged ahead of
+// time. Every job that has not started waits where priority still
+// matters, and a late-arriving interactive job overtakes queued batch work
+// instead of sitting behind it in a FIFO. A queued job whose context fires
+// (DELETE, or its deadline) leaves the queue at once.
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -146,11 +148,15 @@ func (b *tokenBucket) take(now time.Time) (ok bool, retryAfter time.Duration) {
 	return false, time.Duration((1 - b.tokens) / b.rate * float64(time.Second))
 }
 
-// admItem is one queued submission: the job record plus everything the
-// pump needs to hand it to the pool.
+// admItem is one queued submission: the job record plus the spec the
+// pool runs.
 type admItem struct {
 	job  *Job
 	spec wsrt.JobSpec
+	// unwatch stops the cancellation watch push arms; it reports false
+	// when the watch has already fired. Set and called under wfq.mu.
+	unwatch func() bool
+	popped  time.Time // when the pool pulled the job
 }
 
 // wfqTenant is one tenant's FIFO within a class.
@@ -161,7 +167,9 @@ type wfqTenant struct {
 
 // wfqClass is one priority class: per-tenant FIFOs drained round-robin,
 // so within a class every tenant gets an equal share regardless of how
-// many jobs each has queued.
+// many jobs each has queued. A tenant is in rr exactly while its FIFO is
+// non-empty; an idle tenant keeps only its entry in tens, so its next job
+// reuses the FIFO instead of allocating one.
 type wfqClass struct {
 	weight int
 	credit int // smooth-weighted-round-robin state
@@ -171,109 +179,167 @@ type wfqClass struct {
 	size   int
 }
 
-func (c *wfqClass) tenant(name string) *wfqTenant {
-	t := c.tens[name]
+// push appends it to its tenant's FIFO, or puts it back at the head
+// (front) when an extracted job returns, so per-tenant order survives.
+func (c *wfqClass) push(it *admItem, front bool) {
+	t := c.tens[it.job.tenant]
 	if t == nil {
-		t = &wfqTenant{name: name}
-		c.tens[name] = t
+		t = &wfqTenant{name: it.job.tenant}
+		c.tens[t.name] = t
+	}
+	if len(t.items) == 0 {
 		c.rr = append(c.rr, t)
 	}
-	return t
-}
-
-func (c *wfqClass) push(it *admItem) {
-	t := c.tenant(it.job.tenant)
-	t.items = append(t.items, it)
+	if front {
+		t.items = append([]*admItem{it}, t.items...)
+	} else {
+		t.items = append(t.items, it)
+	}
 	c.size++
 }
 
-// pushFront returns an item to the head of its tenant's FIFO — the pump
-// uses it when the pool cannot take the job yet, so per-tenant FIFO order
-// survives the round trip.
-func (c *wfqClass) pushFront(it *admItem) {
-	t := c.tenant(it.job.tenant)
-	t.items = append([]*admItem{it}, t.items...)
-	c.size++
-}
-
-// pop removes and returns the next item in round-robin tenant order. A
-// tenant whose FIFO empties leaves the ring (and re-enters on its next
-// push), so idle tenants cost nothing.
-func (c *wfqClass) pop() *admItem {
-	for i := 0; i < len(c.rr); i++ {
-		idx := (c.rrNext + i) % len(c.rr)
-		t := c.rr[idx]
-		if len(t.items) == 0 {
-			continue
-		}
-		it := t.items[0]
-		t.items = t.items[1:]
-		c.size--
-		if len(t.items) == 0 {
-			delete(c.tens, t.name)
-			c.rr = append(c.rr[:idx], c.rr[idx+1:]...)
-			if len(c.rr) == 0 {
-				c.rrNext = 0
-			} else {
-				c.rrNext = idx % len(c.rr)
-			}
-		} else {
-			c.rrNext = (idx + 1) % len(c.rr)
-		}
+// take removes the i-th item of the tenant at rr[ti]. A tenant whose FIFO
+// empties leaves the ring and re-enters on its next push.
+func (c *wfqClass) take(ti, i int) *admItem {
+	t := c.rr[ti]
+	it := t.items[i]
+	t.items = slices.Delete(t.items, i, i+1)
+	c.size--
+	if len(t.items) > 0 {
 		return it
 	}
-	return nil
+	c.rr = append(c.rr[:ti], c.rr[ti+1:]...)
+	if ti < c.rrNext {
+		c.rrNext--
+	}
+	if len(c.rr) == 0 {
+		c.rrNext = 0
+	} else {
+		c.rrNext %= len(c.rr)
+	}
+	return it
+}
+
+// pop removes the head of the next tenant in round-robin order.
+func (c *wfqClass) pop() *admItem {
+	ti := c.rrNext
+	left := len(c.rr[ti].items) > 1
+	it := c.take(ti, 0)
+	if left {
+		c.rrNext = (ti + 1) % len(c.rr)
+	}
+	return it
+}
+
+// popBack removes the item that would be served last within the class:
+// the tail of the last tenant in the ring.
+func (c *wfqClass) popBack() *admItem {
+	ti := len(c.rr) - 1
+	return c.take(ti, len(c.rr[ti].items)-1)
+}
+
+// remove takes it out of the class wherever it waits; false if it is not
+// queued here.
+func (c *wfqClass) remove(it *admItem) bool {
+	for ti, t := range c.rr {
+		if t.name != it.job.tenant {
+			continue
+		}
+		for i, x := range t.items {
+			if x == it {
+				c.take(ti, i)
+				return true
+			}
+		}
+		return false
+	}
+	return false
 }
 
 // wfq is the weighted-fair admission queue: one wfqClass per priority,
-// drained by smooth weighted round-robin. Producers are the Submit path;
-// the single consumer is the service pump.
+// drained by smooth weighted round-robin. Producers are the Submit path
+// and the cluster's requeue; the consumer is the pool's dispatcher, which
+// pulls through the wsrt.Source methods.
 type wfq struct {
-	mu       sync.Mutex
-	nonEmpty *sync.Cond
-	classes  map[Priority]*wfqClass
-	size     int
-	closed   bool
+	mu      sync.Mutex
+	classes map[Priority]*wfqClass
+	size    int
+	closed  bool
+	ready   chan struct{}
+
+	// cancelled retires an item whose context fired while it was queued;
+	// retiring counts those retirements still running, so close can wait
+	// for them.
+	cancelled func(*admItem)
+	retiring  sync.WaitGroup
 }
 
-func newWFQ() *wfq {
-	q := &wfq{classes: make(map[Priority]*wfqClass, len(priorityOrder))}
+func newWFQ(cancelled func(*admItem)) *wfq {
+	q := &wfq{
+		classes:   make(map[Priority]*wfqClass, len(priorityOrder)),
+		ready:     make(chan struct{}, 1),
+		cancelled: cancelled,
+	}
 	for _, p := range priorityOrder {
 		q.classes[p] = &wfqClass{weight: priorityWeights[p], tens: make(map[string]*wfqTenant)}
 	}
-	q.nonEmpty = sync.NewCond(&q.mu)
 	return q
 }
 
-func (q *wfq) push(it *admItem) {
+// push queues it (at the head of its tenant's FIFO when front) and arms
+// its cancellation watch: if the job's context fires while it still
+// waits, it leaves the queue and is retired there and then, instead of
+// when a slot next opens. push reports false once the queue is closed.
+func (q *wfq) push(it *admItem, front bool) bool {
 	q.mu.Lock()
-	q.classes[it.job.prio].push(it)
+	if q.closed {
+		q.mu.Unlock()
+		return false
+	}
+	q.classes[it.job.prio].push(it, front)
 	q.size++
+	it.unwatch = context.AfterFunc(it.spec.Ctx, func() { q.cancel(it) })
 	q.mu.Unlock()
-	q.nonEmpty.Signal()
+	select {
+	case q.ready <- struct{}{}:
+	default:
+	}
+	return true
 }
 
-func (q *wfq) pushFront(it *admItem) {
+// cancel is the cancellation watch: whichever of it and a pop, extract or
+// close takes the item out of the queue under q.mu settles it.
+func (q *wfq) cancel(it *admItem) {
 	q.mu.Lock()
-	q.classes[it.job.prio].pushFront(it)
-	q.size++
+	ok := q.classes[it.job.prio].remove(it)
+	if ok {
+		q.size--
+		q.retiring.Add(1)
+	}
 	q.mu.Unlock()
-	q.nonEmpty.Signal()
+	if ok {
+		q.cancelled(it)
+		q.retiring.Done()
+	}
 }
 
-// pop blocks until an item is available and returns it, choosing the
-// class by smooth weighted round-robin and the tenant within it by plain
-// round-robin. After close it keeps returning queued items until the
-// queue is empty, then reports ok == false — the pump drains the backlog
-// (retiring each job) before exiting.
-func (q *wfq) pop() (it *admItem, ok bool) {
+// Pop hands the pool its next job (wsrt.Source).
+func (q *wfq) Pop() (wsrt.JobSpec, bool) {
+	if it := q.pop(); it != nil {
+		return it.spec, true
+	}
+	return wsrt.JobSpec{}, false
+}
+
+// pop removes the next item, choosing the class by smooth weighted
+// round-robin and the tenant within it by plain round-robin; nil when the
+// queue is empty. An item whose watch has already fired is handed out all
+// the same: its context is done, so the pool retires it unstarted.
+func (q *wfq) pop() *admItem {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for q.size == 0 && !q.closed {
-		q.nonEmpty.Wait()
-	}
 	if q.size == 0 {
-		return nil, false
+		return nil
 	}
 	var best *wfqClass
 	total := 0
@@ -290,94 +356,50 @@ func (q *wfq) pop() (it *admItem, ok bool) {
 	}
 	best.credit -= total
 	q.size--
-	return best.pop(), true
+	it := best.pop()
+	it.unwatch()
+	it.popped = time.Now()
+	return it
 }
 
-// popBack removes the item that would be served last: the tail of a tenant
-// FIFO in the lowest-priority class with queued work. The cluster tier
-// extracts here — shedding the work that would wait longest keeps a
-// forward from stealing an interactive job out from under its SLO.
-func (c *wfqClass) popBack() *admItem {
-	for i := len(c.rr) - 1; i >= 0; i-- {
-		t := c.rr[i]
-		if len(t.items) == 0 {
-			continue
-		}
-		it := t.items[len(t.items)-1]
-		t.items = t.items[:len(t.items)-1]
-		c.size--
-		if len(t.items) == 0 {
-			delete(c.tens, t.name)
-			c.rr = append(c.rr[:i], c.rr[i+1:]...)
-			if len(c.rr) == 0 {
-				c.rrNext = 0
-			} else {
-				c.rrNext %= len(c.rr)
-			}
-		}
-		return it
-	}
-	return nil
-}
-
-// extractBack removes up to max items in reverse service order (lowest
-// class first, tenant-FIFO tails first). It never blocks; an empty queue
-// returns nil.
-func (q *wfq) extractBack(max int) []*admItem {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var out []*admItem
-	for len(out) < max && q.size > 0 {
-		for i := len(priorityOrder) - 1; i >= 0; i-- {
-			c := q.classes[priorityOrder[i]]
-			if c.size == 0 {
-				continue
-			}
-			if it := c.popBack(); it != nil {
-				q.size--
-				out = append(out, it)
-				break
-			}
-		}
-	}
-	return out
-}
-
-// depth returns the number of queued items.
-func (q *wfq) depth() int {
+// Len reports the jobs waiting in the queue (wsrt.Source).
+func (q *wfq) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.size
 }
 
-// close wakes the consumer; pop then drains the remaining items.
-func (q *wfq) close() {
+// Ready receives after a push (wsrt.Source).
+func (q *wfq) Ready() <-chan struct{} { return q.ready }
+
+// extractBack removes up to max items in reverse service order (lowest
+// class first, tenant-FIFO tails first). The cluster tier extracts here —
+// shedding the work that would wait longest keeps a forward from stealing
+// an interactive job out from under its SLO. An empty queue returns nil.
+func (q *wfq) extractBack(max int) []*admItem {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	var out []*admItem
+	for i := len(priorityOrder) - 1; i >= 0 && len(out) < max; i-- {
+		c := q.classes[priorityOrder[i]]
+		for c.size > 0 && len(out) < max {
+			it := c.popBack()
+			it.unwatch()
+			q.size--
+			out = append(out, it)
+		}
+	}
+	return out
+}
+
+// close empties the queue for good: later pushes fail, and the items
+// still queued are returned for the owner to retire, once every
+// cancellation retirement already under way has finished.
+func (q *wfq) close() []*admItem {
 	q.mu.Lock()
 	q.closed = true
 	q.mu.Unlock()
-	q.nonEmpty.Broadcast()
-}
-
-// admissionBackoff is the pump's sleep before retrying a pool submission
-// that reported a full staging queue: base doubling per attempt, with the
-// shift clamped and the sleep capped. The clamp matters for correctness,
-// not just politeness — a user-supplied base shifted by an unbounded
-// attempt counter overflows time.Duration (shift ≥ 63 flips the sign) and
-// a negative sleep turns the back-off loop into a spin.
-func admissionBackoff(base time.Duration, attempt int) time.Duration {
-	const maxSleep = 100 * time.Millisecond
-	if base <= 0 {
-		base = 500 * time.Microsecond
-	}
-	if base >= maxSleep {
-		return maxSleep
-	}
-	if attempt > 20 {
-		attempt = 20
-	}
-	d := base << attempt
-	if d <= 0 || d > maxSleep {
-		return maxSleep
-	}
-	return d
+	out := q.extractBack(q.Len())
+	q.retiring.Wait()
+	return out
 }

@@ -50,8 +50,9 @@ type forwarderBox struct{ fn ForwardFunc }
 // restores single-node behaviour.
 func (s *Service) SetForwarder(fn ForwardFunc) { s.forwarder.Store(forwarderBox{fn}) }
 
-// LoadScore is the node's cluster load signal: backlog depth (weighted-
-// fair queue plus the staged job) plus busy workers. Gossip exchanges it;
+// LoadScore is the node's cluster load signal: backlog depth (jobs
+// accepted and not yet running, nearly all of them in the weighted-fair
+// queue the pool pulls from) plus busy workers. Gossip exchanges it;
 // the forward and steal policies compare it across nodes.
 func (s *Service) LoadScore() int {
 	return int(s.waiting.Load() + s.pool.BusyWorkers())
@@ -114,19 +115,13 @@ func (s *Service) adoptForwarded(it *admItem, placed *Forwarded, ts *tenantState
 // wait context merges the job's own context with service shutdown, so
 // Close never blocks on a peer that stopped answering.
 func (s *Service) watchRemote(job *Job, jobCtx context.Context, placed *Forwarded) {
-	s.wg.Add(2)
+	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		wctx, stop := context.WithCancelCause(jobCtx)
-		go func() {
-			defer s.wg.Done()
-			select {
-			case <-s.quit:
-				stop(wsrt.ErrPoolClosed)
-			case <-wctx.Done():
-			}
-		}()
+		unhook := context.AfterFunc(s.closing, func() { stop(wsrt.ErrPoolClosed) })
 		res, err := placed.Wait(wctx)
+		unhook()
 		stop(nil)
 		s.finalize(job, nil, res, err)
 	}()
@@ -152,12 +147,12 @@ func (r *RemoteJob) Request() Request { return r.it.job.Req }
 // or no peer wanted it). Queue-slot accounting never moved, so this is
 // position-only.
 func (r *RemoteJob) Requeue() {
-	r.s.q.pushFront(r.it)
+	r.s.enqueue(r.it, true)
 }
 
 // Placed commits the forward: the peer at node accepted the job as
-// remoteID. The local queue slot is released (capacity frees up, the pump
-// may wake) and a remote watcher settles the record when the peer is done.
+// remoteID. The local queue slot is released and a remote watcher settles
+// the record when the peer is done.
 func (r *RemoteJob) Placed(node, remoteID string, wait func(ctx context.Context) (sched.Result, error)) {
 	s, job := r.s, r.it.job
 	job.mu.Lock()
@@ -175,7 +170,6 @@ func (r *RemoteJob) Placed(node, remoteID string, wait func(ctx context.Context)
 		rec.Release()
 	}
 	s.watchRemote(job, r.it.spec.Ctx, &Forwarded{Node: node, JobID: remoteID, Wait: wait})
-	s.wakePump()
 }
 
 // ExtractQueued removes up to max queued, not-yet-admitted jobs for
@@ -244,6 +238,6 @@ func (s *Service) SubmitForwarded(req Request, origin string) (*Job, error) {
 	cls.submitted.Add(1)
 	s.forwardedIn.Add(1)
 	s.journalSubmit(job)
-	s.q.push(it)
+	s.enqueue(it, false)
 	return job, nil
 }

@@ -31,9 +31,9 @@ type JobStatus struct {
 	// Program for program_hash submissions).
 	ProgramHash string    `json:"program_hash,omitempty"`
 	Engine      string    `json:"engine"`
-	Tenant   string    `json:"tenant"`
-	Priority Priority  `json:"priority"`
-	Created  time.Time `json:"created"`
+	Tenant      string    `json:"tenant"`
+	Priority    Priority  `json:"priority"`
+	Created     time.Time `json:"created"`
 
 	// Cluster fields: Origin is the peer that forwarded the job here;
 	// ForwardedTo/RemoteID point at the peer a forwarded job went to.
@@ -67,10 +67,10 @@ func status(j *Job) JobStatus {
 		Program:     j.Req.Program,
 		ProgramHash: j.Req.ProgramHash,
 		Engine:      eng,
-		Tenant:   j.tenant,
-		Priority: j.prio,
-		Created:  j.Created,
-		Origin:   j.origin,
+		Tenant:      j.tenant,
+		Priority:    j.prio,
+		Created:     j.Created,
+		Origin:      j.origin,
 	}
 	j.mu.Lock()
 	out.ForwardedTo, out.RemoteID = j.remoteNode, j.remoteID
@@ -102,7 +102,8 @@ func status(j *Job) JobStatus {
 //	POST   /jobs       submit (Request body; X-Tenant header overrides
 //	                   req.Tenant) → 202 JobStatus; 429 + Retry-After on a
 //	                   full queue, tenant rate limit, or tenant quota; 503
-//	                   while draining or closed
+//	                   while draining or closed; 413 for a body over
+//	                   MaxBodyBytes (as for every POST)
 //	GET    /jobs/{id}  status and, once terminal, result → JobStatus
 //	DELETE /jobs/{id}  cancel → 202 JobStatus
 //	GET    /metrics    service counters → Metrics
@@ -146,8 +147,8 @@ func NewMux(s *Service) *http.ServeMux {
 
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
 		var req Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if code, err := DecodeBody(w, r, &req); err != nil {
+			writeErr(w, code, err)
 			return
 		}
 		if t := r.Header.Get("X-Tenant"); t != "" {
@@ -197,8 +198,8 @@ func NewMux(s *Service) *http.ServeMux {
 			Name   string `json:"name"`
 			Source string `json:"source"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if code, err := DecodeBody(w, r, &req); err != nil {
+			writeErr(w, code, err)
 			return
 		}
 		if req.Source == "" {
@@ -263,6 +264,22 @@ func NewMux(s *Service) *http.ServeMux {
 	})
 
 	return mux
+}
+
+// MaxBodyBytes caps every JSON request body the HTTP API reads: far above
+// any job request or DSL program, far below what could exhaust memory.
+const MaxBodyBytes = 1 << 20
+
+// DecodeBody decodes r's JSON body into v, reading at most MaxBodyBytes.
+// On failure it returns the status to reply with: 413 for an oversized
+// body, 400 for anything else.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge, err
+	}
+	return http.StatusBadRequest, err
 }
 
 // retryAfterSeconds renders a Retry-After header value: whole seconds,

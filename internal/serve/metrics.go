@@ -184,7 +184,6 @@ type Metrics struct {
 	WorkerOccupancy     float64   `json:"worker_occupancy"`
 	QueueCapacity       int       `json:"queue_capacity"`
 	QueueDepth          int       `json:"queue_depth"`
-	ExternalQueueDepth  int       `json:"external_queue_depth"`
 	LoadScore           int       `json:"load_score"`
 	InFlight            int64     `json:"in_flight"`
 	ForwardedOut        int64     `json:"forwarded_out"`
@@ -198,7 +197,7 @@ type Metrics struct {
 	Rejected            int64     `json:"rejected"`
 	RateLimited         int64     `json:"rate_limited"`
 	QuotaRejected       int64     `json:"quota_rejected"`
-	AdmissionRetries    int64     `json:"admission_retries"`
+	AdmissionRetries    int64     `json:"admission_retries"` // always 0: the pool pulls, nothing is retried
 	QuarantinedJobs     int64     `json:"quarantined_jobs"`
 	ThroughputPerSecond float64   `json:"throughput_per_second"`
 	P50LatencyMS        float64   `json:"p50_latency_ms"`

@@ -223,7 +223,7 @@ func (s *Service) resubmitRecovered(id string, req Request) bool {
 	s.mu.Unlock()
 	// No journalSubmit: the original submit record is already in the log,
 	// and recovery folds duplicates first-submission-wins anyway.
-	s.q.push(it)
+	s.enqueue(it, false)
 	return true
 }
 

@@ -20,7 +20,8 @@ import (
 )
 
 // waitForState polls until the job reaches want (the submit→running edge
-// is asynchronous: the pump stages the job, the pool starts it).
+// is asynchronous: the pool pulls the job when a slot opens, and its
+// OnStart moves it to running).
 func waitForState(t *testing.T, j *Job, want State) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -60,9 +61,9 @@ func (e *probeEngine) NewExec(n int, opt sched.Options) wsrt.Engine {
 
 // TestWeightedFairOrdering is the contention test for the admission
 // queue: with the single worker held by a blocker, four background jobs
-// submitted *before* four interactive jobs must still start *after* them
-// — all but the one background job the pump had already staged into the
-// pool's capacity-1 queue before the interactive jobs arrived.
+// submitted *before* four interactive jobs must still start *after* them.
+// The pool pulls a job only when its slot opens, so nothing is staged
+// ahead of the interactive arrivals and not one background job may jump.
 func TestWeightedFairOrdering(t *testing.T) {
 	ord := &startOrder{}
 	nextID := 0
@@ -73,7 +74,7 @@ func TestWeightedFairOrdering(t *testing.T) {
 	})
 	t.Cleanup(func() { delete(poolEngines, "qos-probe") })
 
-	s := New(Config{Workers: 1, QueueCapacity: 16, AdmissionBackoff: time.Millisecond})
+	s := New(Config{Workers: 1, QueueCapacity: 16})
 	t.Cleanup(s.Close)
 
 	// id 0: the blocker, holding the lone worker.
@@ -125,8 +126,8 @@ func TestWeightedFairOrdering(t *testing.T) {
 			jumped++
 		}
 	}
-	if jumped > 1 {
-		t.Fatalf("start order %v: %d background jobs started before the last interactive; only the pre-staged one may", order, jumped)
+	if jumped > 0 {
+		t.Fatalf("start order %v: %d background jobs started before the last interactive, want 0", order, jumped)
 	}
 
 	m := s.Snapshot()
@@ -141,19 +142,15 @@ func TestWeightedFairOrdering(t *testing.T) {
 // TestWFQClassWeights pins the smooth-weighted-round-robin drain order
 // for the 16/4/1 weights with four jobs queued per class.
 func TestWFQClassWeights(t *testing.T) {
-	q := newWFQ()
+	q := newWFQ(nil)
 	for i := 0; i < 4; i++ {
 		for _, p := range []Priority{PriorityBackground, PriorityBatch, PriorityInteractive} {
-			q.push(&admItem{job: &Job{tenant: DefaultTenant, prio: p}})
+			q.push(&admItem{job: &Job{tenant: DefaultTenant, prio: p}, spec: wsrt.JobSpec{Ctx: context.Background()}}, false)
 		}
 	}
 	var got []Priority
-	for q.depth() > 0 {
-		it, ok := q.pop()
-		if !ok {
-			t.Fatal("pop reported closed on a non-empty queue")
-		}
-		got = append(got, it.job.prio)
+	for q.Len() > 0 {
+		got = append(got, q.pop().job.prio)
 	}
 	want := []Priority{
 		PriorityInteractive, PriorityInteractive, PriorityBatch,
@@ -175,17 +172,16 @@ func TestWFQClassWeights(t *testing.T) {
 // turns regardless of how many jobs each has queued, and a tenant whose
 // queue empties leaves the ring cleanly.
 func TestWFQTenantRoundRobin(t *testing.T) {
-	q := newWFQ()
+	q := newWFQ(nil)
 	push := func(id, tenant string) {
-		q.push(&admItem{job: &Job{ID: id, tenant: tenant, prio: PriorityBatch}})
+		q.push(&admItem{job: &Job{ID: id, tenant: tenant, prio: PriorityBatch}, spec: wsrt.JobSpec{Ctx: context.Background()}}, false)
 	}
 	push("a1", "a")
 	push("a2", "a")
 	push("b1", "b")
 	var got []string
-	for q.depth() > 0 {
-		it, _ := q.pop()
-		got = append(got, it.job.ID)
+	for q.Len() > 0 {
+		got = append(got, q.pop().job.ID)
 	}
 	if want := "a1 b1 a2"; strings.Join(got, " ") != want {
 		t.Fatalf("tenant round-robin order %v, want %q", got, want)
@@ -397,36 +393,6 @@ func TestPercentilesNearestRank(t *testing.T) {
 	}
 }
 
-// TestAdmissionBackoffClamp pins the S4 fix: the doubling backoff must
-// never overflow into a negative (spinning) sleep, whatever base and
-// attempt the caller supplies, and is capped at 100ms.
-func TestAdmissionBackoffClamp(t *testing.T) {
-	const cap = 100 * time.Millisecond
-	cases := []struct {
-		base    time.Duration
-		attempt int
-		want    time.Duration
-	}{
-		{0, 0, 500 * time.Microsecond},                    // default base
-		{time.Millisecond, 3, 8 * time.Millisecond},       // plain doubling
-		{time.Millisecond, 30, cap},                       // attempt clamp then cap
-		{time.Second, 1, cap},                             // base at/over the cap
-		{time.Duration(1<<40) * time.Nanosecond, 62, cap}, // would overflow unclamped
-	}
-	for _, tc := range cases {
-		if got := admissionBackoff(tc.base, tc.attempt); got != tc.want {
-			t.Fatalf("admissionBackoff(%v, %d) = %v, want %v", tc.base, tc.attempt, got, tc.want)
-		}
-	}
-	for attempt := 0; attempt <= 200; attempt++ {
-		for _, base := range []time.Duration{0, 1, time.Microsecond, time.Millisecond, time.Hour} {
-			if d := admissionBackoff(base, attempt); d <= 0 || d > cap {
-				t.Fatalf("admissionBackoff(%v, %d) = %v out of (0, %v]", base, attempt, d, cap)
-			}
-		}
-	}
-}
-
 // TestTokenBucket pins refill arithmetic and the Retry-After hint.
 func TestTokenBucket(t *testing.T) {
 	b := newTokenBucket(TenantLimits{RatePerSec: 2, Burst: 1})
@@ -503,8 +469,8 @@ func TestMetricsBreakdowns(t *testing.T) {
 
 // TestServeGoroutineHygiene is the S3 assertion: after a service that ran
 // completed, cancelled, and deadline-expired jobs is closed, every
-// goroutine it spawned — pump, watchers, and the job-start markers that
-// previously escaped the WaitGroup — is gone.
+// goroutine it and its pool spawned — dispatcher, workers, per-job
+// finishers and context watches — is gone.
 func TestServeGoroutineHygiene(t *testing.T) {
 	base := runtime.NumGoroutine()
 	s := New(Config{Workers: 2, QueueCapacity: 8, Check: true, Options: sched.Options{GrowableDeque: true}})

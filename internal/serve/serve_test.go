@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -656,72 +657,101 @@ func ringCount(l *latencyRing) int {
 	return l.next
 }
 
-// TestServeAdmissionRetryTransient checks that Submit absorbs a transient
-// injected admission rejection: the first attempt is refused, the retry is
-// admitted, the job completes, and the retry — not a rejection — is what
-// the metrics record.
-func TestServeAdmissionRetryTransient(t *testing.T) {
-	// Find a seed whose admission stream rejects the first draw and admits
-	// the second at rate 0.5. The scan runs on a probe plan; the service
-	// gets a fresh plan with the same spec, hence the same stream.
-	spec := faults.Spec{Reject: 0.5}
-	for seed := int64(1); ; seed++ {
-		spec.Seed = seed
-		fi := faults.New(spec).Admission()
-		if fi.RejectAdmission() && !fi.RejectAdmission() {
-			break
-		}
-		if seed > 1000 {
-			t.Fatal("no reject-then-admit seed below 1000")
-		}
-	}
+// TestServeStarvedDispatchNeverFails keeps the invariant the removed
+// retry loop used to guard: an accepted job is never failed by dispatch
+// pressure. With the shard allocator refusing half its placements in
+// bursts, jobs wait longer in the weighted-fair queue, but every one of
+// them completes and none is rejected.
+func TestServeStarvedDispatchNeverFails(t *testing.T) {
 	s := New(Config{
-		Workers:          1,
-		QueueCapacity:    4,
-		AdmissionBackoff: time.Millisecond,
-		Faults:           faults.New(spec),
+		Workers:           2,
+		MaxConcurrentJobs: 2,
+		QueueCapacity:     32,
+		Faults:            faults.New(faults.Spec{Seed: 7, Starve: 0.5, StarveBurst: 4}),
+		Options:           sched.Options{GrowableDeque: true},
 	})
 	t.Cleanup(s.Close)
 
-	job, err := s.Submit(Request{Program: "fib", N: 10})
-	if err != nil {
-		t.Fatalf("submit with transient rejection: %v", err)
+	var jobs []*Job
+	for i := 0; i < 24; i++ {
+		j, err := s.Submit(Request{Program: "fib", N: 10})
+		if err != nil {
+			t.Fatalf("submit %d under shard starvation: %v", i, err)
+		}
+		jobs = append(jobs, j)
 	}
-	<-job.Done()
-	if state, res, jerr := job.Snapshot(); state != StateDone || jerr != nil || res.Value != 55 {
-		t.Fatalf("retried job: state=%s value=%d err=%v, want done/55", state, res.Value, jerr)
+	for _, j := range jobs {
+		<-j.Done()
+		if state, res, err := j.Snapshot(); state != StateDone || err != nil || res.Value != 55 {
+			t.Fatalf("job %s: state=%s value=%d err=%v, want done/55", j.ID, state, res.Value, err)
+		}
 	}
-	m := s.Snapshot()
-	if m.AdmissionRetries != 1 || m.Rejected != 0 {
-		t.Fatalf("retries=%d rejected=%d, want 1/0", m.AdmissionRetries, m.Rejected)
+	if m := s.Snapshot(); m.Completed != 24 || m.Rejected != 0 || m.AdmissionRetries != 0 {
+		t.Fatalf("completed=%d rejected=%d retries=%d, want 24/0/0", m.Completed, m.Rejected, m.AdmissionRetries)
 	}
 }
 
-// TestServeAdmissionSustainedRejection checks the other side of the
-// contract: an accepted job is never spuriously failed by staging
-// pressure. Under a fault plan that rejects every pool submission, the
-// pump parks the job and retries with backoff until the job's own
-// deadline retires it as cancelled — the caller saw an accept, not a
-// rejection, and the pump survives to serve the next job.
-func TestServeAdmissionSustainedRejection(t *testing.T) {
-	s := New(Config{
-		Workers:          1,
-		QueueCapacity:    4,
-		AdmissionBackoff: time.Millisecond,
-		Faults:           faults.New(faults.Spec{Seed: 1, Reject: 1}),
-	})
-	t.Cleanup(s.Close)
+// TestServeQueuedDeadlineRetiresPromptly checks that a queued job's
+// deadline takes it out of the queue when it fires, not when a worker
+// next comes free: with the lone worker held by a long job, three queued
+// jobs with a 50ms timeout settle as cancelled within 250ms while the
+// blocker is still running, and the gauges they held settle with them.
+func TestServeQueuedDeadlineRetiresPromptly(t *testing.T) {
+	s := newTestService(t, 1, 8, false)
 
-	job, err := s.Submit(Request{Program: "fib", N: 10, TimeoutMS: 50})
+	blocker, err := s.Submit(Request{Program: "nqueens-array", N: 13, TimeoutMS: 30000})
 	if err != nil {
-		t.Fatalf("submit under sustained staging rejection: %v", err)
+		t.Fatal(err)
 	}
-	<-job.Done()
-	if state, _, jerr := job.Snapshot(); state != StateCancelled || !errors.Is(jerr, context.DeadlineExceeded) {
-		t.Fatalf("parked job: state=%s err=%v, want cancelled by deadline", state, jerr)
+	waitForState(t, blocker, StateRunning)
+
+	start := time.Now()
+	var queued []*Job
+	for i := 0; i < 3; i++ {
+		j, err := s.Submit(Request{Program: "fib", N: 10, TimeoutMS: 50})
+		if err != nil {
+			t.Fatal(err)
+		}
+		queued = append(queued, j)
+	}
+	for _, j := range queued {
+		select {
+		case <-j.Done():
+		case <-time.After(250*time.Millisecond - time.Since(start)):
+			t.Fatalf("queued job %s not settled %v after submit", j.ID, time.Since(start))
+		}
+		if state, _, jerr := j.Snapshot(); state != StateCancelled || !errors.Is(jerr, context.DeadlineExceeded) {
+			t.Fatalf("queued job %s: state=%s err=%v, want cancelled by its deadline", j.ID, state, jerr)
+		}
+	}
+	if state, _, _ := blocker.Snapshot(); state != StateRunning {
+		t.Fatalf("blocker state=%s, want still running", state)
 	}
 	m := s.Snapshot()
-	if m.AdmissionRetries < 1 || m.Rejected != 0 || m.Cancelled != 1 {
-		t.Fatalf("retries=%d rejected=%d cancelled=%d, want >=1/0/1", m.AdmissionRetries, m.Rejected, m.Cancelled)
+	if m.QueueDepth != 0 || m.Cancelled != 3 || m.InFlight != 1 {
+		t.Fatalf("queue_depth=%d cancelled=%d in_flight=%d, want 0/3/1", m.QueueDepth, m.Cancelled, m.InFlight)
+	}
+	if q := m.Priorities[string(PriorityBatch)]; q.Queued != 0 || q.Running != 1 {
+		t.Fatalf("batch class queued=%d running=%d, want 0/1", q.Queued, q.Running)
+	}
+	blocker.Cancel(ErrCancelled)
+	<-blocker.Done()
+}
+
+// TestHTTPOversizedBody checks that both JSON-reading endpoints stop
+// reading at MaxBodyBytes and answer 413 without acting on the request.
+func TestHTTPOversizedBody(t *testing.T) {
+	s := newTestService(t, 1, 4, false)
+	mux := NewMux(s)
+	huge := `{"name":"x","program":"` + strings.Repeat("a", MaxBodyBytes) + `"}`
+	for _, path := range []string{"/jobs", "/programs"} {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(huge)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: status %d, want 413", path, len(huge), rec.Code)
+		}
+	}
+	if m := s.Snapshot(); m.Submitted != 0 || m.ProgramsCached != 0 {
+		t.Fatalf("oversized bodies acted on: submitted=%d programs=%d", m.Submitted, m.ProgramsCached)
 	}
 }

@@ -101,7 +101,6 @@ type Job struct {
 	prio   Priority
 
 	cancel context.CancelCauseFunc
-	handle *wsrt.JobHandle // set by the pump once the pool accepts the job
 	done   chan struct{}
 
 	origin   string // peer node that forwarded the job here, if any
@@ -111,7 +110,7 @@ type Job struct {
 	state      State
 	res        sched.Result
 	err        error
-	violations error // invariant verdict from check mode, nil if clean
+	violations error  // invariant verdict from check mode, nil if clean
 	remoteNode string // peer the job was forwarded to, if any
 	remoteID   string // the job's id on that peer
 }
@@ -153,9 +152,8 @@ type Config struct {
 	// Workers is the pool size; zero means 1.
 	Workers int
 	// QueueCapacity bounds the admission backlog — jobs accepted but not
-	// yet running, across the weighted-fair queue and the pool staging
-	// slot; zero means 64. A full backlog rejects with wsrt.ErrQueueFull
-	// (HTTP 429).
+	// yet running; zero means 64. A full backlog rejects with
+	// wsrt.ErrQueueFull (HTTP 429).
 	QueueCapacity int
 	// MaxConcurrentJobs is the number of jobs the pool runs at once, each
 	// on its own disjoint worker shard; zero or one means the single-job
@@ -187,16 +185,11 @@ type Config struct {
 	// GET /jobs/{id}; zero means 1024. Oldest terminal records are evicted
 	// first; live jobs are never evicted.
 	RetainJobs int
-	// AdmissionBackoff is the pump's initial sleep when the pool's staging
-	// queue is full (or fault injection pretends it is), doubling per
-	// consecutive refusal up to a 100ms cap. Zero means 500µs. The pump
-	// retries until the job is cancelled or the service closes — a full
-	// staging slot is flow control, not rejection; rejection happens at
-	// the QueueCapacity bound in Submit.
-	AdmissionBackoff time.Duration
 	// Faults, when non-nil, threads the fault plan through the service:
-	// pool-level admission/shard faults plus per-job worker and deque
-	// faults. Chaos soaks use it; production leaves it nil (free).
+	// pool-level shard-allocator starvation plus per-job worker and deque
+	// faults. (The plan's admission rejections act on wsrt.Pool.Submit,
+	// which a service's pool does not use.) Chaos soaks use it; production
+	// leaves it nil (free).
 	Faults *faults.Plan
 	// Journal, when non-nil, persists job submissions, state transitions,
 	// results and DSL program registrations to the append-only store, so a
@@ -205,8 +198,8 @@ type Config struct {
 	Journal *jobstore.Store
 	// Recovered is the state Journal's Open reconstructed; New materializes
 	// it (terminal results served, never-started jobs re-queued, mid-run
-	// jobs marked aborted-by-restart, DSL programs re-compiled) before the
-	// admission pump starts.
+	// jobs marked aborted-by-restart, DSL programs re-compiled) before any
+	// new submission is accepted.
 	Recovered *jobstore.Recovery
 	// ProgramCache bounds the DSL compile cache (POST /programs). Zero
 	// values take the progstore defaults.
@@ -222,9 +215,11 @@ type Service struct {
 	started time.Time
 	nextID  atomic.Int64
 
-	q    *wfq
-	quit chan struct{} // closed by Close; wakes the pump's backoff sleep
-	wake chan struct{} // capacity 1; nudges the pump when pool space frees
+	q *wfq // the pool's source
+
+	// closing is cancelled by Close; it ends the waits on forwarded jobs.
+	closing  context.Context
+	closeNow context.CancelCauseFunc
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
@@ -232,7 +227,7 @@ type Service struct {
 	closed bool
 
 	draining atomic.Bool
-	waiting  atomic.Int64 // accepted, not yet running (WFQ + staged)
+	waiting  atomic.Int64 // accepted, not yet running
 	inflight atomic.Int64 // accepted, not yet terminal
 
 	submitted   atomic.Int64
@@ -242,7 +237,6 @@ type Service struct {
 	rejected    atomic.Int64
 	rateLimited atomic.Int64
 	quotaRej    atomic.Int64
-	retried     atomic.Int64
 	checked     atomic.Int64
 	violations  atomic.Int64
 	latencies   *latencyRing
@@ -268,10 +262,11 @@ type Service struct {
 	enginesMu sync.Mutex
 	engines   map[string]*groupStat
 
-	wg sync.WaitGroup // pump + job watcher goroutines (start markers included)
+	wg sync.WaitGroup // forwarded-job watchers
 }
 
-// New builds the service and starts its pool and admission pump.
+// New builds the service and starts its pool, which pulls from the
+// service's weighted-fair queue.
 func New(cfg Config) *Service {
 	if cfg.RetainJobs <= 0 {
 		cfg.RetainJobs = 1024
@@ -281,22 +276,9 @@ func New(cfg Config) *Service {
 		capacity = 64
 	}
 	s := &Service{
-		cfg:      cfg,
-		capacity: capacity,
-		pool: wsrt.NewPool(wsrt.PoolConfig{
-			Workers: cfg.Workers,
-			// One staging slot: every job that is not literally next waits
-			// in the weighted-fair queue, where priority still matters.
-			QueueCapacity:     1,
-			MaxConcurrentJobs: cfg.MaxConcurrentJobs,
-			ShardPolicy:       wsrt.ShardPolicy(cfg.ShardPolicy),
-			Options:           cfg.Options,
-			Faults:            cfg.Faults,
-		}),
+		cfg:       cfg,
+		capacity:  capacity,
 		started:   time.Now(),
-		q:         newWFQ(),
-		quit:      make(chan struct{}),
-		wake:      make(chan struct{}, 1),
 		jobs:      make(map[string]*Job),
 		latencies: newLatencyRing(4096),
 		hist:      newHistogram(),
@@ -307,19 +289,23 @@ func New(cfg Config) *Service {
 	for _, p := range priorityOrder {
 		s.classes[p] = newGroupStat()
 	}
+	s.closing, s.closeNow = context.WithCancelCause(context.Background())
+	s.q = newWFQ(func(it *admItem) { s.retireQueued(it, context.Cause(it.spec.Ctx)) })
+	s.pool = wsrt.NewPool(wsrt.PoolConfig{
+		Workers:           cfg.Workers,
+		MaxConcurrentJobs: cfg.MaxConcurrentJobs,
+		ShardPolicy:       wsrt.ShardPolicy(cfg.ShardPolicy),
+		Options:           cfg.Options,
+		Faults:            cfg.Faults,
+		Source:            s.q,
+	})
 	s.programs = progstore.New(cfg.ProgramCache)
 	s.journal = cfg.Journal
-	// The demand the pool's adaptive/SLO shard policies see must include
-	// the backlog held here, since only one job at a time is staged into
-	// the pool's own queue.
-	s.pool.SetExternalQueueDepth(func() int { return int(s.waiting.Load()) })
 	s.pool.SetShardAdvisor(s.adviseShard)
-	// Materialize recovered journal state before the pump starts, so
+	// Materialize recovered journal state before New returns, so
 	// re-queued jobs are first in line and terminal records answer GETs
 	// from the first request on.
 	s.recover(cfg.Recovered)
-	s.wg.Add(1)
-	go s.pump()
 	return s
 }
 
@@ -453,18 +439,24 @@ func (s *Service) buildJob(req Request) (*admItem, error) {
 	if s.cfg.Check {
 		rec = trace.NewRecorder()
 	}
-	return &admItem{
-		job: job,
-		spec: wsrt.JobSpec{
-			Prog:          prog,
-			Engine:        mk(),
-			Ctx:           ctx,
-			Tracer:        rec,
-			Faults:        s.cfg.Faults,
-			StealPolicy:   req.StealPolicy,
-			FirstSolution: firstSol,
+	it := &admItem{job: job}
+	it.spec = wsrt.JobSpec{
+		Prog:          prog,
+		Engine:        mk(),
+		Ctx:           ctx,
+		Tracer:        rec,
+		Faults:        s.cfg.Faults,
+		StealPolicy:   req.StealPolicy,
+		FirstSolution: firstSol,
+		OnStart:       func() { s.markRunning(job) },
+		OnDone: func(res sched.Result, err error) {
+			// The pool counts queue wait from its pull; the wait in the
+			// weighted-fair queue before that is the service's.
+			res.Stats.QueueWait += it.popped.Sub(job.Created).Nanoseconds()
+			s.finalize(job, rec, res, err)
 		},
-	}, nil
+	}
+	return it, nil
 }
 
 // dslOverrides maps the request's registry-shaped size knobs onto DSL
@@ -546,8 +538,17 @@ func (s *Service) Submit(req Request) (*Job, error) {
 	ts.submitted.Add(1)
 	cls.submitted.Add(1)
 	s.journalSubmit(job)
-	s.q.push(it)
+	s.enqueue(it, false)
 	return job, nil
+}
+
+// enqueue puts an accepted job on the weighted-fair queue. A job that
+// raced Close past its closed check finds the queue closed and is retired
+// like every other job Close finds queued.
+func (s *Service) enqueue(it *admItem, front bool) {
+	if !s.q.push(it, front) {
+		s.retireQueued(it, wsrt.ErrPoolClosed)
+	}
 }
 
 // Get returns the job record for id.
@@ -568,74 +569,6 @@ func (s *Service) Cancel(id string) (*Job, bool) {
 	return j, true
 }
 
-// pump is the admission pump: the single consumer of the weighted-fair
-// queue. It stages jobs into the pool one at a time; a full staging slot
-// puts the job back at the head of its tenant queue and backs off, so a
-// higher-priority arrival can overtake while the pump waits.
-func (s *Service) pump() {
-	defer s.wg.Done()
-	attempt := 0
-	for {
-		it, ok := s.q.pop()
-		if !ok {
-			return
-		}
-		job := it.job
-		if ctx := it.spec.Ctx; ctx != nil && ctx.Err() != nil {
-			// Cancelled while queued: never reaches the pool.
-			s.retireQueued(it, context.Cause(ctx))
-			attempt = 0
-			continue
-		}
-		if s.isClosed() {
-			s.retireQueued(it, wsrt.ErrPoolClosed)
-			continue
-		}
-		h, err := s.pool.Submit(it.spec)
-		switch {
-		case err == nil:
-			attempt = 0
-			job.handle = h
-			// Two slots: the watcher and its start marker. The pump holds
-			// its own slot while adding, so the counter cannot be at zero
-			// concurrently with Close's Wait.
-			s.wg.Add(2)
-			go s.watch(it)
-		case errors.Is(err, wsrt.ErrQueueFull):
-			// The staging slot is taken (or fault injection says so). Not a
-			// rejection — the job was accepted at Submit — so park it back
-			// at the head of its queue and wait for space.
-			s.q.pushFront(it)
-			s.retried.Add(1)
-			s.sleepOrWake(admissionBackoff(s.cfg.AdmissionBackoff, attempt))
-			attempt++
-		default:
-			s.retireQueued(it, err)
-			attempt = 0
-		}
-	}
-}
-
-// sleepOrWake sleeps for d unless a finishing job (wake) or shutdown
-// (quit) interrupts.
-func (s *Service) sleepOrWake(d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-s.wake:
-	case <-s.quit:
-	}
-}
-
-// wakePump nudges the pump out of its backoff sleep (non-blocking).
-func (s *Service) wakePump() {
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-}
-
 func (s *Service) isClosed() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -643,37 +576,17 @@ func (s *Service) isClosed() bool {
 }
 
 // retireQueued finishes a job that never reached the pool (cancelled in
-// the queue, service closed, or the pool refused it terminally).
+// the queue, or still queued at Close).
 func (s *Service) retireQueued(it *admItem, err error) {
 	res := sched.Result{Engine: it.spec.Engine.Name(), Program: it.job.Req.Program}
 	res.Stats.QueueWait = time.Since(it.job.Created).Nanoseconds()
 	s.finalize(it.job, it.spec.Tracer, res, err)
 }
 
-// watch follows one pool-accepted job to its terminal state. The start
-// marker moves the job queued → running as soon as the pool picks it up;
-// it is wg-tracked like the watcher itself (its slot pre-added by the
-// pump), so Close cannot return while either still runs.
-func (s *Service) watch(it *admItem) {
-	defer s.wg.Done()
-	job := it.job
-	go func() {
-		defer s.wg.Done()
-		// Started is closed by the pool on job start; a job drained by
-		// Close never starts but does finish, which releases this marker.
-		select {
-		case <-job.handle.Started():
-			s.markRunning(job)
-		case <-job.handle.Done():
-		}
-	}()
-	res, err := job.handle.Result()
-	s.finalize(job, it.spec.Tracer, res, err)
-}
-
 // markRunning transitions a job queued → running and moves the gauges
-// with it. The job's state mutex orders it against finalize: whichever
-// runs first wins, and the loser sees the state it left behind.
+// with it: the job's OnStart, run on its pool finisher goroutine. The
+// job's state mutex orders it against finalize: whichever runs first
+// wins, and the loser sees the state it left behind.
 func (s *Service) markRunning(job *Job) {
 	job.mu.Lock()
 	moved := job.state == StateQueued
@@ -692,8 +605,6 @@ func (s *Service) markRunning(job *Job) {
 	ts.running.Add(1)
 	cls.running.Add(1)
 	s.journalStart(job)
-	// The job left the staging slot, so the pump can stage the next one.
-	s.wakePump()
 }
 
 // engine returns (creating if needed) the per-engine breakdown stats.
@@ -838,7 +749,6 @@ func (s *Service) finalize(job *Job, rec *trace.Recorder, res sched.Result, err 
 	s.inflight.Add(-1)
 	close(job.done)
 	s.retire(job.ID)
-	s.wakePump()
 }
 
 // retire records id as terminal and evicts the oldest terminal records
@@ -897,7 +807,6 @@ func (s *Service) Snapshot() Metrics {
 		BusyWorkers:         s.pool.BusyWorkers(),
 		QueueCapacity:       s.capacity,
 		QueueDepth:          int(s.waiting.Load()),
-		ExternalQueueDepth:  s.q.depth(),
 		InFlight:            s.inflight.Load(),
 		ForwardedOut:        s.forwardedOut.Load(),
 		ForwardedIn:         s.forwardedIn.Load(),
@@ -910,7 +819,6 @@ func (s *Service) Snapshot() Metrics {
 		Rejected:            s.rejected.Load(),
 		RateLimited:         s.rateLimited.Load(),
 		QuotaRejected:       s.quotaRej.Load(),
-		AdmissionRetries:    s.retried.Load(),
 		QuarantinedJobs:     s.pool.Quarantined(),
 		P50LatencyMS:        float64(p50) / 1e6,
 		P99LatencyMS:        float64(p99) / 1e6,
@@ -979,10 +887,10 @@ func (s *Service) Snapshot() Metrics {
 }
 
 // Close shuts the service down: queued jobs are retired with
-// wsrt.ErrPoolClosed, in-flight work finishes or is drained by the pool,
-// every watcher (and start marker) completes, and further submissions
-// fail. For a graceful shutdown that finishes the backlog instead of
-// failing it, call Drain first.
+// wsrt.ErrPoolClosed, running jobs finish and settle, waits on forwarded
+// jobs end with wsrt.ErrPoolClosed, and further submissions fail. For a
+// graceful shutdown that finishes the backlog instead of failing it, call
+// Drain first.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -991,8 +899,10 @@ func (s *Service) Close() {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	close(s.quit)
-	s.q.close() // the pump drains the backlog, retiring every queued job
-	s.pool.Close()
+	for _, it := range s.q.close() {
+		s.retireQueued(it, wsrt.ErrPoolClosed)
+	}
+	s.closeNow(wsrt.ErrPoolClosed)
+	s.pool.Close() // returns once every running job's OnDone has
 	s.wg.Wait()
 }

@@ -5,11 +5,14 @@
 // a channel instead of exiting, so a job's cost is one wake/barrier cycle,
 // not deque construction, goroutine spawning and free-list warm-up.
 //
-// Admission is controlled by a bounded queue: Submit never blocks, and a
-// full queue is reported as ErrQueueFull (backpressure) rather than letting
-// callers pile up behind a busy pool. Up to MaxConcurrentJobs jobs run at
-// once, each bound to its own shard — a disjoint group of workers handed
-// out by the shard allocator (shard.go). Work-stealing parallelism is
+// The dispatcher pulls: whenever a shard slot is open it takes the next job
+// from the pool's Source, and it waits on the source's ready signal when
+// there is none. The default source is the bounded FIFO behind Submit,
+// which never blocks and reports a full queue as ErrQueueFull
+// (backpressure) rather than letting callers pile up behind a busy pool; a
+// serving layer passes its own queue instead (PoolConfig.Source). Up to
+// MaxConcurrentJobs jobs run at once, each bound to its own shard — a
+// disjoint group of workers handed out by the shard allocator (shard.go). Work-stealing parallelism is
 // *within* a shard; a job's runtime is built over the shard's deques only,
 // so steals are confined to the shard's victim set, one job's need_task
 // starvation signal cannot re-open another job's subtree, and every
@@ -21,7 +24,7 @@
 // Every job gets its own Runtime (value, failure, stats, tracer) and its
 // own cooperative stop flag wired to the submitter's context, checked at
 // the runtime's poll points; a cancelled or expired job unwinds through the
-// sched.Abort path, and the finisher then resets the shard's deques — and
+// sched.Abort path, and its last worker then resets the shard's deques — and
 // only the shard's — so leftover frames cannot poison the next job while
 // neighbouring shards keep running untouched.
 package wsrt
@@ -69,8 +72,13 @@ var (
 type PoolConfig struct {
 	// Workers is the worker count; zero means 1.
 	Workers int
-	// QueueCapacity bounds the admission queue; zero means 64.
+	// QueueCapacity bounds the FIFO behind Submit; zero means 64. Ignored
+	// when Source is set.
 	QueueCapacity int
+	// Source, when non-nil, replaces the FIFO behind Submit as the queue
+	// the dispatcher pulls from; Submit then fails. Close stops the pulls
+	// and leaves whatever is still queued to the source's owner.
+	Source Source
 	// MaxConcurrentJobs is the number of jobs the pool will run at once,
 	// each on its own disjoint worker shard. Zero or one means the classic
 	// single-job pool (one shard spanning every worker); values above
@@ -88,18 +96,68 @@ type PoolConfig struct {
 	// Faults, when non-nil, injects pool-level faults: admission-queue
 	// saturation (Submit reports ErrQueueFull though capacity remains) and
 	// shard-allocator starvation (the dispatcher briefly cannot form a
-	// shard). Worker-level faults are per-job (see JobSpec.Faults). Nil —
-	// the default — costs nothing anywhere.
+	// shard, so it leaves the next job in the source). Worker-level faults
+	// are per-job (see JobSpec.Faults). Nil — the default — costs nothing
+	// anywhere.
 	Faults *faults.Plan
 }
 
-// queueCapacityOrDefault returns the admission queue bound.
-func (c PoolConfig) queueCapacityOrDefault() int {
-	if c.QueueCapacity <= 0 {
-		return 64
-	}
-	return c.QueueCapacity
+// Source is the queue a pool's dispatcher pulls its next job from. Pop is
+// called only by the dispatcher, and only while a shard slot is open;
+// pushes may come from any goroutine.
+type Source interface {
+	// Pop removes and returns the next job to run, or ok == false when the
+	// source is empty. The job must carry Prog and Engine.
+	Pop() (spec JobSpec, ok bool)
+	// Len reports the jobs waiting: the demand signal the adaptive and SLO
+	// shard policies size shards by.
+	Len() int
+	// Ready returns a channel that receives after a push, so a dispatcher
+	// that found the source empty wakes up. A spurious wake is harmless;
+	// a missed one strands the job, so it must be a buffered channel that
+	// every push signals without blocking.
+	Ready() <-chan struct{}
 }
+
+// fifo is the default Source: the bounded queue behind Submit.
+type fifo struct {
+	specs chan JobSpec
+	ready chan struct{}
+}
+
+func newFIFO(capacity int) *fifo {
+	if capacity <= 0 {
+		capacity = 64
+	}
+	return &fifo{specs: make(chan JobSpec, capacity), ready: make(chan struct{}, 1)}
+}
+
+// push enqueues spec, or reports false when the queue is at its bound.
+func (q *fifo) push(spec JobSpec) bool {
+	select {
+	case q.specs <- spec:
+	default:
+		return false
+	}
+	select {
+	case q.ready <- struct{}{}:
+	default:
+	}
+	return true
+}
+
+func (q *fifo) Pop() (JobSpec, bool) {
+	select {
+	case spec := <-q.specs:
+		return spec, true
+	default:
+		return JobSpec{}, false
+	}
+}
+
+func (q *fifo) Len() int { return len(q.specs) }
+
+func (q *fifo) Ready() <-chan struct{} { return q.ready }
 
 // JobSpec describes one job: a root task to execute on the pool.
 type JobSpec struct {
@@ -140,17 +198,29 @@ type JobSpec struct {
 	// invariant-checked with trace.CheckTruncatedMultiplicity — the losers'
 	// deposit cascades are truncated by design.
 	FirstSolution bool
+	// OnStart and OnDone, when non-nil, follow the job through the pool.
+	// Both run on the job's own finisher goroutine, never on the
+	// dispatcher, so a slow callback (a journal write, say) holds up only
+	// its own job: OnStart once the job's shard workers have been woken,
+	// OnDone with the outcome after the shard has been handed back. A job
+	// retired without running (cancelled while queued, or drained by
+	// Close) gets OnDone only.
+	OnStart func()
+	OnDone  func(sched.Result, error)
+
+	handle *JobHandle // set by Submit; nil for jobs from a PoolConfig.Source
 }
 
 // JobHandle is the submitter's view of an in-flight job.
 type JobHandle struct {
-	started chan struct{}
-	done    chan struct{}
-	shard   []int
-	startAt time.Time
-	endAt   time.Time
-	res     sched.Result
-	err     error
+	started   chan struct{}
+	done      chan struct{}
+	submitted time.Time
+	shard     []int
+	startAt   time.Time
+	endAt     time.Time
+	res       sched.Result
+	err       error
 }
 
 // Started is closed when the job leaves the queue and its shard's workers
@@ -191,15 +261,24 @@ type poolJob struct {
 	shard     []int             // global worker ids, shard-local order
 	deques    []deque.WorkDeque // the shard's deques, indexed by local id
 	workers   []*Worker         // the shard's workers, indexed by local id
-	release   func()            // context watcher release
+	release   func() bool       // context watch release
 	deadline  *time.Timer       // run-deadline timer; nil unless JobSpec.Deadline
-	wg        sync.WaitGroup    // shard workers still running this job
-	h         *JobHandle
+	left      atomic.Int32      // shard workers still running this job
+	settled   sync.WaitGroup    // held until the shard is handed back
+	res       sched.Result      // the outcome, valid once settled
+	err       error             // likewise
+	h         *JobHandle        // nil unless the job came through Submit
 }
 
+// finish settles the job: its handle (if any) resolves, then OnDone runs.
 func (j *poolJob) finish(res sched.Result, err error) {
-	j.h.res, j.h.err = res, err
-	close(j.h.done)
+	if h := j.h; h != nil {
+		h.res, h.err = res, err
+		close(h.done)
+	}
+	if j.spec.OnDone != nil {
+		j.spec.OnDone(res, err)
+	}
 }
 
 // shardRun is one worker's wake message: the job to run and the worker's
@@ -220,22 +299,21 @@ type Pool struct {
 	deques   []deque.WorkDeque
 	workers  []*Worker
 	wake     []chan shardRun
-	queue    chan *poolJob
-	finished chan *poolJob // finishers hand shards back to the dispatcher
+	src      Source
+	fifo     *fifo         // Submit's queue when it is the source; else nil
+	finished chan *poolJob // jobs' last workers hand shards back here
 	quit     chan struct{}
-	joined   sync.WaitGroup // dispatcher + workers
+	joined   sync.WaitGroup // dispatcher, workers, finishers, Close's drain
 
 	policy  atomic.Int32 // 0 = static, 1 = adaptive, 2 = slo
 	advisor atomic.Value // advisorBox: SLO shard-width advisor
-	extQ    atomic.Value // extQueueBox: waiting jobs held outside the pool
 
 	mu     sync.Mutex // guards Submit/Close handshake
 	closed bool
 
-	liveMu sync.Mutex            // guards live
-	live   map[*poolJob][]int    // running jobs' shards, for occupancy views
+	liveMu sync.Mutex         // guards live
+	live   map[*poolJob][]int // running jobs' shards, for occupancy views
 
-	inflight    atomic.Int64 // jobs submitted and not yet finished
 	running     atomic.Int64 // jobs currently occupying a shard
 	busy        atomic.Int64 // workers currently bound to a job
 	served      atomic.Int64 // jobs finished (any outcome) since pool start
@@ -269,12 +347,16 @@ func NewPool(cfg PoolConfig) *Pool {
 		deques:   make([]deque.WorkDeque, n),
 		workers:  make([]*Worker, n),
 		wake:     make([]chan shardRun, n),
-		queue:    make(chan *poolJob, cfg.queueCapacityOrDefault()),
+		src:      cfg.Source,
 		finished: make(chan *poolJob, maxJobs),
 		quit:     make(chan struct{}),
 		live:     make(map[*poolJob][]int),
 		admitFI:  cfg.Faults.Admission(),
 		shardFI:  cfg.Faults.ShardAlloc(),
+	}
+	if p.src == nil {
+		p.fifo = newFIFO(cfg.QueueCapacity)
+		p.src = p.fifo
 	}
 	p.SetShardPolicy(cfg.ShardPolicy)
 	procs := vtime.NewRealProcs(n, opt.Seed)
@@ -325,57 +407,21 @@ func (p *Pool) ShardPolicy() ShardPolicy {
 
 // ShardAdvisor decides, for the ShardSLO policy, how many concurrent jobs
 // the free workers should be split between when the next shard is formed.
-// waiting is the number of jobs queued behind the one being placed
-// (pool queue plus any external admission queue registered with
-// SetExternalQueueDepth), slots the open job slots, free the free worker
-// count. The return value is clamped to [1, slots]; a serving layer
-// typically returns 1 (widest shard, fastest drain) while a latency SLO is
+// waiting is the number of jobs queued behind the one being placed (the
+// source's Len), slots the open job slots, free the free worker count.
+// The return value is clamped to [1, slots]; a serving layer typically
+// returns 1 (widest shard, fastest drain) while a latency SLO is
 // being missed and waiting+1 (the adaptive split) otherwise.
 type ShardAdvisor func(waiting, slots, free int) int
 
-// advisorBox/extQueueBox keep atomic.Value's concrete type stable.
+// advisorBox keeps atomic.Value's concrete type stable.
 type advisorBox struct{ fn ShardAdvisor }
-type extQueueBox struct{ fn func() int }
 
 // SetShardAdvisor installs the ShardSLO sizing callback. It is consulted
 // only by the dispatcher goroutine, at shard-formation time, and only
 // while the policy is ShardSLO; a nil or absent advisor makes ShardSLO
 // behave like ShardAdaptive. Safe to call while jobs are running.
 func (p *Pool) SetShardAdvisor(fn ShardAdvisor) { p.advisor.Store(advisorBox{fn}) }
-
-// SetExternalQueueDepth registers a callback reporting jobs that are
-// waiting for this pool but held outside its own admission queue — a
-// serving layer's priority queue, say. The dispatcher folds it into the
-// waiting count that drives the adaptive and SLO shard policies, so a
-// front end that stages jobs into the pool one at a time does not starve
-// the split heuristics of their demand signal.
-func (p *Pool) SetExternalQueueDepth(fn func() int) { p.extQ.Store(extQueueBox{fn}) }
-
-// waitingJobs returns the demand signal for shard sizing: queued here plus
-// queued in any registered external admission queue. The external count
-// may include jobs already staged into this pool's queue, so the sum can
-// overcount slightly; the policies only need a monotone demand signal, not
-// an exact census.
-func (p *Pool) waitingJobs() int {
-	w := len(p.queue)
-	if b, ok := p.extQ.Load().(extQueueBox); ok && b.fn != nil {
-		w += b.fn()
-	}
-	return w
-}
-
-// QueueDepth returns the number of jobs waiting for admission right now.
-func (p *Pool) QueueDepth() int { return len(p.queue) }
-
-// QueueCapacity returns the admission queue bound.
-func (p *Pool) QueueCapacity() int { return cap(p.queue) }
-
-// InFlight returns the number of submitted jobs that have not finished
-// (queued + running).
-func (p *Pool) InFlight() int64 { return p.inflight.Load() }
-
-// Running reports whether any job currently occupies workers.
-func (p *Pool) Running() bool { return p.running.Load() != 0 }
 
 // RunningJobs returns the number of jobs currently bound to shards.
 func (p *Pool) RunningJobs() int64 { return p.running.Load() }
@@ -408,26 +454,25 @@ func (p *Pool) LiveShards() [][]int {
 // kept serving.
 func (p *Pool) Quarantined() int64 { return p.quarantined.Load() }
 
-// Submit enqueues a job without blocking. It returns ErrQueueFull when the
-// admission queue is at capacity and ErrPoolClosed after Close. The
-// closed check and the enqueue happen under one lock, ordered against
+// Submit enqueues a job on the pool's FIFO without blocking. It returns
+// ErrQueueFull when the FIFO is at capacity and ErrPoolClosed after Close.
+// The closed check and the enqueue happen under one lock, ordered against
 // Close's closed store: once Close has begun, Submit deterministically
 // returns ErrPoolClosed, and a job enqueued before that point is either
-// run or — if the dispatcher observes the shutdown first — deterministically
-// drained with ErrPoolClosed, never both.
+// run or drained with ErrPoolClosed, never both.
 func (p *Pool) Submit(spec JobSpec) (*JobHandle, error) {
 	if spec.Prog == nil || spec.Engine == nil {
 		return nil, errors.New("wsrt: JobSpec needs Prog and Engine")
 	}
-	job := &poolJob{
-		spec:      spec,
-		name:      spec.Engine.Name(),
-		submitted: time.Now(),
-		h: &JobHandle{
-			started: make(chan struct{}),
-			done:    make(chan struct{}),
-		},
+	if p.fifo == nil {
+		return nil, errors.New("wsrt: Submit on a pool that pulls from a PoolConfig.Source")
 	}
+	h := &JobHandle{
+		started:   make(chan struct{}),
+		done:      make(chan struct{}),
+		submitted: time.Now(),
+	}
+	spec.handle = h
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -439,18 +484,17 @@ func (p *Pool) Submit(spec JobSpec) (*JobHandle, error) {
 		// stream is drawn under p.mu, which serialises it.
 		return nil, ErrQueueFull
 	}
-	select {
-	case p.queue <- job:
-		p.inflight.Add(1)
-		return job.h, nil
-	default:
+	if !p.fifo.push(spec) {
 		return nil, ErrQueueFull
 	}
+	return h, nil
 }
 
-// Close shuts the pool down: running jobs finish, every job still queued
-// is failed with ErrPoolClosed, and the workers exit. Close blocks until
-// all goroutines have joined; it is idempotent.
+// Close shuts the pool down: the dispatcher stops pulling, running jobs
+// finish, every job still in Submit's FIFO is failed with ErrPoolClosed,
+// and the workers exit. A PoolConfig.Source is left as it is, for its
+// owner to retire. Close blocks until all goroutines have joined and every
+// OnDone has returned; it is idempotent.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -461,19 +505,27 @@ func (p *Pool) Close() {
 	// Close quit under the same lock that orders Submit's closed check:
 	// any Submit that observes closed (and any outside observer it
 	// unblocks) is guaranteed the dispatcher's shutdown signal is already
-	// raised, so a job still queued at that point can only drain.
+	// raised, so a job still queued at that point can only drain. The
+	// drain is a joined slot of its own, so a concurrent Close waits for
+	// it too.
 	p.closed = true
 	close(p.quit)
+	p.joined.Add(1)
 	p.mu.Unlock()
+	if p.fifo != nil {
+		for spec, ok := p.fifo.Pop(); ok; spec, ok = p.fifo.Pop() {
+			p.retire(p.admit(spec), ErrPoolClosed)
+		}
+	}
+	p.joined.Done()
 	p.joined.Wait()
 }
 
-// dispatch is the pool's coordinator goroutine: it admits jobs while the
-// shard allocator can place them, binds each admitted job to a shard, and
-// reclaims shards as jobs finish. Jobs it cannot place yet stay in the
-// bounded queue (at most one, already received, waits in the deferred
-// slot), so admission backpressure is never weakened by an internal
-// unbounded buffer.
+// dispatch is the pool's coordinator goroutine: while a shard slot is
+// open it pulls the next job from the source and binds it to a shard, and
+// it reclaims shards as jobs finish. Nothing is taken from the source
+// before a shard can be formed for it, so every waiting job stays where
+// its owner can still reorder, extract or cancel it.
 func (p *Pool) dispatch() {
 	defer func() {
 		for _, c := range p.wake {
@@ -482,117 +534,76 @@ func (p *Pool) dispatch() {
 		p.joined.Done()
 	}()
 	alloc := newShardAlloc(p.n, p.maxJobs)
-	var deferred *poolJob // received from the queue, waiting for a shard
 	for {
 		// Prefer shutdown over further admissions once quit is closed.
 		select {
 		case <-p.quit:
-			p.shutdown(alloc, deferred)
+			p.shutdown(alloc)
 			return
 		default:
 		}
-		if deferred != nil {
-			if !p.tryStart(alloc, deferred) {
-				// Without fault injection a deferred job can only be
-				// unblocked by a finishing job (or shutdown). Injected
-				// allocator starvation can refuse a shard with nothing
-				// running at all, so the fault plane adds a retry tick —
-				// otherwise the dispatcher would wait forever on a finish
-				// that cannot come. Nil channel (no faults): zero cost.
-				var retry <-chan time.Time
-				var retryT *time.Timer
-				if p.shardFI != nil {
-					retryT = time.NewTimer(100 * time.Microsecond)
-					retry = retryT.C
-				}
-				// A deferred job can also die where it stands: watching its
-				// context here retires a cancelled job immediately instead
-				// of holding it hostage until some other job finishes.
-				var ctxDone <-chan struct{}
-				if ctx := deferred.spec.Ctx; ctx != nil {
-					ctxDone = ctx.Done()
-				}
-				select {
-				case <-p.quit:
-					if retryT != nil {
-						retryT.Stop()
-					}
-					p.shutdown(alloc, deferred)
-					return
-				case job := <-p.finished:
-					p.reclaim(alloc, job)
-				case <-ctxDone:
-					p.retire(deferred, context.Cause(deferred.spec.Ctx))
-					deferred = nil
-				case <-retry:
-				}
-				if retryT != nil {
-					retryT.Stop()
-				}
-				continue
-			}
-			deferred = nil
-			continue
-		}
-		// Receive from the queue only while a shard slot is open; otherwise
-		// jobs stay queued and Submit's backpressure stays honest.
-		var queueCh chan *poolJob
+		var ready <-chan struct{}
+		var retry <-chan time.Time
 		if alloc.running < p.maxJobs && len(alloc.free) > 0 {
-			queueCh = p.queue
+			if p.shardFI != nil && p.src.Len() > 0 && p.shardFI.StarveShard() {
+				// Injected allocator starvation: the job stays in the source
+				// as if no shard could be formed. Nothing running may finish
+				// to wake the dispatcher, so the fault plane retries on a
+				// tick of its own.
+				retry = time.After(100 * time.Microsecond)
+			} else if spec, ok := p.src.Pop(); ok {
+				p.place(alloc, p.admit(spec))
+				continue
+			} else {
+				ready = p.src.Ready()
+			}
 		}
 		select {
 		case <-p.quit:
-			p.shutdown(alloc, nil)
+			p.shutdown(alloc)
 			return
-		case job := <-queueCh:
-			// quit and queue can be ready together and select picks
-			// arbitrarily; re-checking quit here makes Close deterministic —
-			// a job picked up after quit closed is drained, never run.
-			select {
-			case <-p.quit:
-				p.retire(job, ErrPoolClosed)
-				p.shutdown(alloc, nil)
-				return
-			default:
-			}
-			if !p.tryStart(alloc, job) {
-				deferred = job
-			}
 		case job := <-p.finished:
 			p.reclaim(alloc, job)
+		case <-ready:
+		case <-retry:
 		}
 	}
 }
 
-// tryStart binds job to a freshly allocated shard, or retires it
-// immediately if its context was cancelled while it waited. It reports
-// false when the allocator cannot form a shard under the current policy.
-func (p *Pool) tryStart(alloc *shardAlloc, job *poolJob) bool {
-	if ctx := job.spec.Ctx; ctx != nil {
-		if ctx.Err() != nil {
-			// Cancelled while queued: never starts, costs the pool nothing.
-			p.retire(job, context.Cause(ctx))
-			return true
-		}
+// admit wraps a job pulled from the source (or drained from the FIFO) in
+// its pool-side record.
+func (p *Pool) admit(spec JobSpec) *poolJob {
+	job := &poolJob{spec: spec, name: spec.Engine.Name(), h: spec.handle, submitted: time.Now()}
+	if job.h != nil {
+		job.submitted = job.h.submitted
 	}
-	if p.shardFI != nil && p.shardFI.StarveShard() {
-		// Injected allocator starvation: the dispatcher behaves exactly as
-		// if no shard could be formed and retries on its fault tick.
-		return false
+	return job
+}
+
+// place binds a pulled job to a freshly allocated shard, or retires it if
+// its context was cancelled while it waited. The caller has checked that a
+// slot is open, so the allocator always forms a shard.
+func (p *Pool) place(alloc *shardAlloc, job *poolJob) {
+	if ctx := job.spec.Ctx; ctx != nil && ctx.Err() != nil {
+		// Cancelled while queued: never starts, costs the pool nothing. The
+		// retirement gets a goroutine of its own to keep OnDone off the
+		// dispatcher.
+		p.joined.Add(1)
+		go func() {
+			defer p.joined.Done()
+			p.retire(job, context.Cause(ctx))
+		}()
+		return
 	}
 	policy := p.ShardPolicy()
-	waiting := p.waitingJobs()
+	waiting := p.src.Len()
 	var shard []int
 	if b, ok := p.advisor.Load().(advisorBox); ok && b.fn != nil && policy == ShardSLO {
 		shard = alloc.grabClaims(b.fn(waiting, alloc.maxJobs-alloc.running, len(alloc.free)))
 	} else {
 		shard = alloc.grab(policy, waiting)
 	}
-	if shard == nil {
-		return false
-	}
 	p.startJob(job, shard)
-	return true
 }
 
 // retire finishes a job that never ran (drained at shutdown, or cancelled
@@ -600,13 +611,12 @@ func (p *Pool) tryStart(alloc *shardAlloc, job *poolJob) bool {
 func (p *Pool) retire(job *poolJob, err error) {
 	res := sched.Result{Engine: job.name, Program: job.spec.Prog.Name()}
 	res.Stats.QueueWait = time.Since(job.submitted).Nanoseconds()
-	job.finish(res, err)
-	p.inflight.Add(-1)
 	p.served.Add(1)
+	job.finish(res, err)
 }
 
 // reclaim returns a finished job's shard to the allocator. The served
-// counter already ticked in finishJob, before the job's handle resolved,
+// counter already ticked in handBack, before the job's handle resolved,
 // so Served() never lags a Result() return.
 func (p *Pool) reclaim(alloc *shardAlloc, job *poolJob) {
 	p.liveMu.Lock()
@@ -615,27 +625,13 @@ func (p *Pool) reclaim(alloc *shardAlloc, job *poolJob) {
 	alloc.release(job.shard)
 	p.busy.Add(-int64(len(job.shard)))
 	p.running.Add(-1)
-	p.inflight.Add(-1)
 }
 
-// shutdown drains the pool: the deferred job and every job still queued
-// fail with ErrPoolClosed, running jobs finish and their shards are
-// reclaimed. No new queue sends can begin once Close has set closed, so
-// the drain loop terminates.
-func (p *Pool) shutdown(alloc *shardAlloc, deferred *poolJob) {
-	if deferred != nil {
-		p.retire(deferred, ErrPoolClosed)
-	}
-	for {
-		select {
-		case job := <-p.queue:
-			p.retire(job, ErrPoolClosed)
-			continue
-		default:
-		}
-		if alloc.running == 0 {
-			return
-		}
+// shutdown waits for the running jobs to finish and reclaims their shards.
+// Queued jobs are not the dispatcher's to settle: Close drains Submit's
+// FIFO, and an external source's owner retires its own.
+func (p *Pool) shutdown(alloc *shardAlloc) {
+	for alloc.running > 0 {
 		p.reclaim(alloc, <-p.finished)
 	}
 }
@@ -696,29 +692,45 @@ func (p *Pool) startJob(job *poolJob, shard []int) {
 		})
 	}
 	job.rt = rt
-	job.wg.Add(width)
+	job.left.Store(int32(width))
+	job.settled.Add(1)
 	p.liveMu.Lock()
 	p.live[job] = shard
 	p.liveMu.Unlock()
 	p.running.Add(1)
 	p.busy.Add(int64(width))
-	job.h.shard = shard
-	job.h.startAt = job.started
-	close(job.h.started)
+	if h := job.h; h != nil {
+		h.shard, h.startAt = shard, job.started
+		close(h.started)
+	}
 	for li, gi := range shard {
 		p.wake[gi] <- shardRun{job: job, local: li}
 	}
+	p.joined.Add(1)
 	go p.finishJob(job)
 }
 
-// finishJob waits for the job's shard workers to hit the barrier,
-// finalises the result, and hands the shard back to the dispatcher. The
+// finishJob is the job's finisher goroutine. It runs OnStart, waits
+// until the job's last worker has handed the shard back (handBack), and
+// then settles the job: its handle resolves and OnDone runs. A callback
+// that blocks therefore delays only its own job's settling, never the
+// shard's return to the allocator.
+func (p *Pool) finishJob(job *poolJob) {
+	defer p.joined.Done()
+	if job.spec.OnStart != nil {
+		job.spec.OnStart()
+	}
+	job.settled.Wait()
+	job.finish(job.res, job.err)
+}
+
+// handBack runs on the job's last worker to hit the barrier: it
+// finalises the result and hands the shard back to the dispatcher. The
 // deque reset is confined to the finishing job's shard — neighbouring
 // shards are live and must not be touched — and happens before the shard
 // returns to the free set, so the next job bound to these workers starts
 // from the same state a fresh deque would.
-func (p *Pool) finishJob(job *poolJob) {
-	job.wg.Wait()
+func (p *Pool) handBack(job *poolJob) {
 	job.release()
 	if job.deadline != nil {
 		job.deadline.Stop()
@@ -740,7 +752,7 @@ func (p *Pool) finishJob(job *poolJob) {
 		d.Reset()
 	}
 
-	res := sched.Result{
+	job.res = sched.Result{
 		Value:    rt.value.Load(),
 		Makespan: time.Since(job.started).Nanoseconds(),
 		Workers:  len(job.shard),
@@ -749,19 +761,20 @@ func (p *Pool) finishJob(job *poolJob) {
 		Stats:    st,
 		Shard:    job.shard,
 	}
-	var err error
 	if f := rt.failure.Load(); f != nil {
-		err = f.err
-		if errors.Is(err, ErrJobPanicked) {
+		job.err = f.err
+		if errors.Is(job.err, ErrJobPanicked) {
 			// Panic quarantine: the job failed, its shard was reset above
 			// and heals by re-entering the allocator like any other.
 			p.quarantined.Add(1)
 		}
 	}
-	job.h.endAt = time.Now()
+	if job.h != nil {
+		job.h.endAt = time.Now()
+	}
 	p.served.Add(1)
-	job.finish(res, err)
 	p.finished <- job
+	job.settled.Done()
 }
 
 // workerLoop is one resident worker: park on the wake channel, run the
@@ -796,6 +809,8 @@ func (p *Pool) workerLoop(i int) {
 		// on the type mismatch). Frames are program-agnostic — their
 		// free-list stays resident across jobs.
 		w.DropWorkspacePool()
-		job.wg.Done()
+		if job.left.Add(-1) == 0 {
+			p.handBack(job)
+		}
 	}
 }

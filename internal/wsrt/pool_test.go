@@ -622,8 +622,8 @@ func waitSettled(t *testing.T, p *wsrt.Pool) {
 // TestPoolSLOAdvisor exercises the SLO shard policy end to end: without
 // an advisor the pool falls back to adaptive sizing (a lone job grows to
 // the whole pool); with an advisor installed, the advisor's claim count
-// sizes the shard, and the demand it sees includes the external queue
-// depth the serving layer reports.
+// sizes the shard, and the demand it sees is the length of the source the
+// pool pulls from.
 func TestPoolSLOAdvisor(t *testing.T) {
 	p := wsrt.NewPool(wsrt.PoolConfig{
 		Workers: 4, MaxConcurrentJobs: 2, ShardPolicy: wsrt.ShardSLO,
@@ -633,7 +633,6 @@ func TestPoolSLOAdvisor(t *testing.T) {
 	if got := p.ShardPolicy(); got != wsrt.ShardSLO {
 		t.Fatalf("ShardPolicy = %q, want slo", got)
 	}
-
 	h, err := p.Submit(wsrt.JobSpec{Prog: fib.New(10), Engine: atc()})
 	if err != nil {
 		t.Fatal(err)
@@ -642,32 +641,90 @@ func TestPoolSLOAdvisor(t *testing.T) {
 		t.Fatalf("advisorless slo shard = %v err=%v, want the whole pool", res.Shard, err)
 	}
 
+	src := newSliceSource()
+	sp := wsrt.NewPool(wsrt.PoolConfig{
+		Workers: 4, MaxConcurrentJobs: 2, ShardPolicy: wsrt.ShardSLO,
+		Source: src, Options: sched.Options{GrowableDeque: true},
+	})
+	defer sp.Close()
 	var mu sync.Mutex
 	var seenWaiting []int
-	p.SetExternalQueueDepth(func() int { return 7 })
-	p.SetShardAdvisor(func(waiting, slots, free int) int {
+	sp.SetShardAdvisor(func(waiting, slots, free int) int {
 		mu.Lock()
 		seenWaiting = append(seenWaiting, waiting)
 		mu.Unlock()
 		return 2
 	})
-	h2, err := p.Submit(wsrt.JobSpec{Prog: fib.New(10), Engine: atc()})
-	if err != nil {
-		t.Fatal(err)
+	const jobs = 8
+	results := make(chan sched.Result, jobs)
+	specs := make([]wsrt.JobSpec, jobs)
+	for i := range specs {
+		started := false
+		specs[i] = wsrt.JobSpec{
+			Prog: fib.New(10), Engine: atc(),
+			OnStart: func() { started = true },
+			OnDone: func(res sched.Result, err error) {
+				if err != nil || !started {
+					t.Errorf("source job: err=%v started=%v, want a started job with no error", err, started)
+				}
+				results <- res
+			},
+		}
 	}
-	res, err := h2.Result()
-	if err != nil || res.Value != 55 {
-		t.Fatalf("advised job: value=%d err=%v, want 55", res.Value, err)
-	}
-	if len(res.Shard) != 2 {
-		t.Fatalf("advised shard = %v, want width 2 (4 free / 2 claims)", res.Shard)
+	src.push(specs...)
+	for i := 0; i < jobs; i++ {
+		if res := <-results; res.Value != 55 || i == 0 && len(res.Shard) != 2 {
+			t.Fatalf("source job %d: value=%d shard=%v, want 55 on a 2-wide shard (4 free / 2 claims)", i, res.Value, res.Shard)
+		}
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(seenWaiting) == 0 || seenWaiting[0] < 7 {
-		t.Fatalf("advisor saw waiting=%v, want >= the external depth 7", seenWaiting)
+	if len(seenWaiting) != jobs || seenWaiting[0] != jobs-1 {
+		t.Fatalf("advisor saw waiting=%v, want %d calls starting at the source length %d", seenWaiting, jobs, jobs-1)
+	}
+	if _, err := sp.Submit(wsrt.JobSpec{Prog: fib.New(5), Engine: atc()}); err == nil {
+		t.Fatal("Submit on a pool with a Source succeeded, want an error")
 	}
 }
+
+// sliceSource is the smallest PoolConfig.Source: a FIFO of specs.
+type sliceSource struct {
+	mu    sync.Mutex
+	specs []wsrt.JobSpec
+	ready chan struct{}
+}
+
+func newSliceSource() *sliceSource { return &sliceSource{ready: make(chan struct{}, 1)} }
+
+// push queues specs as one batch, so the first Pop already sees them all.
+func (s *sliceSource) push(specs ...wsrt.JobSpec) {
+	s.mu.Lock()
+	s.specs = append(s.specs, specs...)
+	s.mu.Unlock()
+	select {
+	case s.ready <- struct{}{}:
+	default:
+	}
+}
+
+func (s *sliceSource) Pop() (wsrt.JobSpec, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.specs) == 0 {
+		return wsrt.JobSpec{}, false
+	}
+	spec := s.specs[0]
+	s.specs = s.specs[1:]
+	return spec, true
+}
+
+func (s *sliceSource) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.specs)
+}
+
+func (s *sliceSource) Ready() <-chan struct{} { return s.ready }
 
 // TestPoolSetShardPolicySLO flips a running pool to the SLO policy.
 func TestPoolSetShardPolicySLO(t *testing.T) {

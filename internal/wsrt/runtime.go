@@ -509,13 +509,21 @@ func (w *Worker) CancelExpected(f *Frame) {
 	f.CancelExpected()
 }
 
-// Suspend accounts the final executor abandoning f at its sync point with
-// deposits outstanding (Frame.Sync returned SyncSuspended).
-func (w *Worker) Suspend(f *Frame) {
-	w.Stats.Suspends++
-	if w.tr != nil {
-		w.tr.Add(w.Proc.Now(), trace.OpSuspend, f.seq, 0, 0)
+// Sync joins f at its sync point (Frame.Sync) and, when deposits are
+// still outstanding, accounts the executor abandoning it. The trace
+// identity is read before the join: once f is marked suspended, the last
+// depositor may finalise it and recycle its memory at any moment, so f
+// must not be touched after a SyncSuspended outcome.
+func (w *Worker) Sync(f *Frame, localSum int64) (int64, SyncOutcome) {
+	seq := f.seq
+	total, out := f.Sync(localSum)
+	if out == SyncSuspended {
+		w.Stats.Suspends++
+		if w.tr != nil {
+			w.tr.Add(w.Proc.Now(), trace.OpSuspend, seq, 0, 0)
+		}
 	}
+	return total, out
 }
 
 func (w *Worker) now() int64 {
